@@ -56,12 +56,15 @@ bench:
 # missing from either log print "-" instead of failing the comparison.
 # Override BENCH_BASELINE to diff against a different recorded log (e.g.
 # BENCH_baseline.json for the full history). The default is the most
-# recent committed log, BENCH_pr10.json — the sharded simulation core — so
-# the blocking CI gate measures drift from the current expected
-# performance, not from the pre-optimization era. Set
+# recent committed log, BENCH_pr12.json — the collapsed routing search,
+# with every figure bench pinned to one seed — so the blocking CI gate
+# measures drift from the current expected performance, not from the
+# pre-optimization era. Set
 # BENCHCMP_FLAGS="-threshold 40 -alloc-threshold 5" to turn the diff
-# into a gate: exit 1 when ns/op or allocs/op regresses beyond 20%.
-BENCH_BASELINE ?= BENCH_pr10.json
+# into a gate: exit 1 when ns/op regresses beyond 40%, allocs/op beyond
+# 5%, or a deterministic work count (a custom "/op" metric such as
+# pops/op) grows at all.
+BENCH_BASELINE ?= BENCH_pr12.json
 BENCHCMP_FLAGS ?=
 
 bench-compare:
@@ -69,8 +72,9 @@ bench-compare:
 	$(GO) run ./cmd/benchcmp $(BENCHCMP_FLAGS) $(BENCH_BASELINE) BENCH_current.json
 
 # Short fuzz pass over every fuzz harness (satisfies `go test` normally
-# too — the seed corpus runs as ordinary tests): the summary codecs plus
-# the mutation-campaign spec round-trip. Override FUZZTIME for quicker
+# too — the seed corpus runs as ordinary tests): the summary codecs, the
+# mutation-campaign spec round-trip, the capture codecs and the routing
+# table search against its line-graph oracle. Override FUZZTIME for quicker
 # smokes: make fuzz FUZZTIME=2s.
 FUZZTIME ?= 10s
 
@@ -84,6 +88,7 @@ fuzz:
 	@for f in FuzzPcapRoundTrip FuzzDecodeFrame; do \
 		$(GO) test ./internal/capture/ -run='^$$' -fuzz=$$f -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	$(GO) test ./internal/routing/ -run='^$$' -fuzz=FuzzComputeTable -fuzztime=$(FUZZTIME)
 
 # Bounded adversary-mutation campaign (cmd/campaign): one operator axis per
 # family would be too narrow, so the smoke sweeps the full catalog with a

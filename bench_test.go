@@ -8,7 +8,9 @@ package routerwatch
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the entire evaluation.
+// regenerates the entire evaluation. Each benchmark runs one fixed seed on
+// every iteration, so its reported metrics do not depend on how many
+// iterations b.N picks.
 
 import (
 	"fmt"
@@ -50,7 +52,7 @@ func BenchmarkFig5_4(b *testing.B) {
 // compromise): detection latency, reroute latency, RTT shift.
 func BenchmarkFig5_7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, _ := experiments.Fig5_7(int64(5 + i))
+		res, _ := experiments.Fig5_7(5)
 		b.ReportMetric((res.FirstDetectionAt - res.AttackAt).Seconds(), "detect-s")
 		b.ReportMetric((res.RerouteAt - res.FirstDetectionAt).Seconds(), "reroute-s")
 		b.ReportMetric(float64(res.PreAttackRTT.Milliseconds()), "rttBefore-ms")
@@ -68,12 +70,18 @@ func BenchmarkFig6_2(b *testing.B) {
 // BenchmarkFig6_3 regenerates the qerror distribution study.
 func BenchmarkFig6_3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, _ := experiments.Fig6_3(int64(77 + i))
+		rep, _ := experiments.Fig6_3(77)
 		b.ReportMetric(rep.StdDev, "qerror-sd-bytes")
 		b.ReportMetric(rep.Skewness, "skew")
 	}
 }
 
+// noDetection is the firstDetect-s sentinel for a run with no suspicion.
+const noDetection = -1
+
+// reportChi reports a χ run's verdict metrics. Every metric is reported on
+// every call, so the last iteration's values never mix with an earlier
+// one's; firstDetect-s is noDetection when nothing was detected.
 func reportChi(b *testing.B, res *experiments.ChiResult) {
 	b.Helper()
 	detected := 0.0
@@ -82,16 +90,18 @@ func reportChi(b *testing.B, res *experiments.ChiResult) {
 	}
 	b.ReportMetric(detected, "detected")
 	b.ReportMetric(float64(res.AttackerDropped), "attackDrops")
+	firstDetect := float64(noDetection)
 	if res.FirstDetectionAt > 0 {
-		b.ReportMetric(res.FirstDetectionAt.Seconds(), "firstDetect-s")
+		firstDetect = res.FirstDetectionAt.Seconds()
 	}
+	b.ReportMetric(firstDetect, "firstDetect-s")
 }
 
 // BenchmarkFig6_5 regenerates the drop-tail no-attack run (must stay
 // silent despite congestion).
 func BenchmarkFig6_5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig6_5(int64(3001 + i))
+		res := experiments.Fig6_5(3001)
 		reportChi(b, res)
 	}
 }
@@ -99,35 +109,35 @@ func BenchmarkFig6_5(b *testing.B) {
 // BenchmarkFig6_6 regenerates attack 1: drop 20% of the selected flows.
 func BenchmarkFig6_6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_6(int64(3101+i)))
+		reportChi(b, experiments.Fig6_6(3101))
 	}
 }
 
 // BenchmarkFig6_7 regenerates attack 2: drop when the queue is 90% full.
 func BenchmarkFig6_7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_7(int64(3201+i)))
+		reportChi(b, experiments.Fig6_7(3201))
 	}
 }
 
 // BenchmarkFig6_8 regenerates attack 3: drop when the queue is 95% full.
 func BenchmarkFig6_8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_8(int64(3301+i)))
+		reportChi(b, experiments.Fig6_8(3301))
 	}
 }
 
 // BenchmarkFig6_9 regenerates attack 4: the SYN drop.
 func BenchmarkFig6_9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_9(int64(3401+i)))
+		reportChi(b, experiments.Fig6_9(3401))
 	}
 }
 
 // BenchmarkChiVsThreshold regenerates the §6.4.3 comparison.
 func BenchmarkChiVsThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunChiVsThreshold(int64(3501 + i))
+		res := experiments.RunChiVsThreshold(3501)
 		b.ReportMetric(float64(res.CongestionCeiling), "congestionCeiling")
 		detected := 0.0
 		if res.Chi.Detected() {
@@ -140,42 +150,42 @@ func BenchmarkChiVsThreshold(b *testing.B) {
 // BenchmarkFig6_11 regenerates the RED no-attack run.
 func BenchmarkFig6_11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_11(int64(3601+i)))
+		reportChi(b, experiments.Fig6_11(3601))
 	}
 }
 
 // BenchmarkFig6_12 regenerates RED attack 1 (mask above avg 45 kB).
 func BenchmarkFig6_12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_12(int64(3701+i)))
+		reportChi(b, experiments.Fig6_12(3701))
 	}
 }
 
 // BenchmarkFig6_13 regenerates RED attack 2 (mask above avg 54 kB).
 func BenchmarkFig6_13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_13(int64(3801+i)))
+		reportChi(b, experiments.Fig6_13(3801))
 	}
 }
 
 // BenchmarkFig6_14 regenerates RED attack 3 (10% above avg 45 kB).
 func BenchmarkFig6_14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_14(int64(3901+i)))
+		reportChi(b, experiments.Fig6_14(3901))
 	}
 }
 
 // BenchmarkFig6_15 regenerates RED attack 4 (5% above avg 45 kB).
 func BenchmarkFig6_15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_15(int64(4001+i)))
+		reportChi(b, experiments.Fig6_15(4001))
 	}
 }
 
 // BenchmarkFig6_16 regenerates RED attack 5 (SYN drop).
 func BenchmarkFig6_16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportChi(b, experiments.Fig6_16(int64(4101+i)))
+		reportChi(b, experiments.Fig6_16(4101))
 	}
 }
 
@@ -183,7 +193,7 @@ func BenchmarkFig6_16(b *testing.B) {
 // design-space matrix.
 func BenchmarkArchitectures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunArchitectures(int64(4301 + i))
+		res := experiments.RunArchitectures(4301)
 		detected := 0
 		for _, row := range res.Rows {
 			if row.Detected {
@@ -199,7 +209,7 @@ func BenchmarkArchitectures(b *testing.B) {
 func BenchmarkOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = experiments.SummarySizeTable([]int{100, 1000, 10000}, 12)
-		_ = experiments.ExchangeBandwidthTable(int64(4401 + i))
+		_ = experiments.ExchangeBandwidthTable(4401)
 	}
 }
 
@@ -214,7 +224,7 @@ func BenchmarkStateSize(b *testing.B) {
 // BenchmarkWatchersFlaw regenerates the §3.1 consorting-routers table.
 func BenchmarkWatchersFlaw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = experiments.WatchersFlawTable(int64(4201 + i))
+		_ = experiments.WatchersFlawTable(4201)
 	}
 }
 
@@ -312,7 +322,7 @@ func BenchmarkFatihTrials(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := experiments.FatihTrials(int64(9000+i), trials, workers, nil)
+				res := experiments.FatihTrials(9000, trials, workers, nil)
 				b.ReportMetric(float64(res.Detected)/trials, "detectRate")
 				b.ReportMetric(res.Report.Speedup(), "speedup")
 			}
@@ -326,7 +336,7 @@ func BenchmarkFatihTrials(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := topology.Line(4)
-		net := NewNetwork(g, NetworkOptions{Seed: int64(i)})
+		net := NewNetwork(g, NetworkOptions{Seed: 0})
 		for j := 0; j < 5000; j++ {
 			j := j
 			net.Scheduler().At(time.Duration(j)*100*time.Microsecond, func() {

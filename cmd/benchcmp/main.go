@@ -15,6 +15,11 @@
 // near-deterministic (≤1% swing), so the allocs gate can be far tighter
 // than the ns gate.
 //
+// Custom metrics whose unit ends in "/op" (other than B/op), such as the
+// routing benchmark's pops/op and relaxations/op, are deterministic work
+// counts: they are listed after the main table and, under -threshold, any
+// growth at all is a regression.
+//
 // Benchmarks present in only one log are reported with "-" on the missing
 // side instead of failing, so partial runs (a narrowed ./pkg/... target, a
 // renamed benchmark) still compare gracefully. Exit status: 0 on success,
@@ -47,6 +52,8 @@ type result struct {
 	nsPerOp     float64
 	allocsPerOp int64
 	hasAllocs   bool
+	// work maps each work-count unit (pops/op, ...) to its value.
+	work map[string]float64
 }
 
 // resultRx matches an assembled benchmark result line:
@@ -54,9 +61,17 @@ type result struct {
 var resultRx = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9]+) allocs/op)?`)
 
+// metricRx matches one "value unit" pair of a result line.
+var metricRx = regexp.MustCompile(`([0-9.e+-]+) (\S+/op)`)
+
+// isWorkUnit reports whether a metric unit is a deterministic work count.
+func isWorkUnit(unit string) bool {
+	return unit != "ns/op" && unit != "B/op" && unit != "allocs/op"
+}
+
 func main() {
 	threshold := flag.Float64("threshold", 0,
-		"fail (exit 1) when ns/op or allocs/op regresses by more than this percentage (0 = report only)")
+		"fail (exit 1) when ns/op or allocs/op regresses by more than this percentage, or a work count grows (0 = report only)")
 	allocThreshold := flag.Float64("alloc-threshold", 0,
 		"separate percentage for allocs/op regressions (0 = use -threshold)")
 	flag.Usage = func() {
@@ -95,6 +110,21 @@ func main() {
 			delta(haveOld && haveNew && o.hasAllocs && n.hasAllocs,
 				float64(o.allocsPerOp), float64(n.allocsPerOp)))
 	}
+	header := false
+	for _, k := range keys {
+		o, n := oldRes[k], newRes[k]
+		for _, unit := range workUnits(o, n) {
+			if !header {
+				fmt.Fprintln(w)
+				fmt.Fprintln(w, "benchmark\twork unit\told\tnew\tdelta")
+				header = true
+			}
+			ov, haveOld := o.work[unit]
+			nv, haveNew := n.work[unit]
+			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n", k, unit,
+				work(ov, haveOld), work(nv, haveNew), delta(haveOld && haveNew, ov, nv))
+		}
+	}
 	if err := w.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
 		os.Exit(2)
@@ -124,9 +154,17 @@ func main() {
 						fmt.Sprintf("%s: allocs/op %+.1f%% (%d -> %d)", k, pct, o.allocsPerOp, n.allocsPerOp))
 				}
 			}
+			for _, unit := range workUnits(o, n) {
+				ov, haveOld := o.work[unit]
+				nv, haveNew := n.work[unit]
+				if haveOld && haveNew && nv > ov {
+					regressions = append(regressions,
+						fmt.Sprintf("%s: %s grew (%g -> %g)", k, unit, ov, nv))
+				}
+			}
 		}
 		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "benchcmp: %d regression(s) beyond ns/op %.1f%% / allocs/op %.1f%%:\n",
+			fmt.Fprintf(os.Stderr, "benchcmp: %d regression(s) beyond ns/op %.1f%% / allocs/op %.1f%% / any work-count growth:\n",
 				len(regressions), *threshold, allocPct)
 			for _, r := range regressions {
 				fmt.Fprintf(os.Stderr, "  %s\n", r)
@@ -141,6 +179,28 @@ func ns(r result, have bool) string {
 		return "-"
 	}
 	return strconv.FormatFloat(r.nsPerOp, 'f', -1, 64)
+}
+
+func work(v float64, have bool) string {
+	if !have {
+		return "-"
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// workUnits returns the work-count units either result reports, sorted.
+func workUnits(a, b result) []string {
+	var units []string
+	for u := range a.work {
+		units = append(units, u)
+	}
+	for u := range b.work {
+		if _, ok := a.work[u]; !ok {
+			units = append(units, u)
+		}
+	}
+	sort.Strings(units)
+	return units
 }
 
 func allocs(r result, have bool) string {
@@ -203,6 +263,16 @@ func parse(path string) map[string]result {
 				continue
 			}
 			r := result{nsPerOp: nsOp}
+			for _, mm := range metricRx.FindAllStringSubmatch(line, -1) {
+				v, err := strconv.ParseFloat(mm[1], 64)
+				if err != nil || !isWorkUnit(mm[2]) {
+					continue
+				}
+				if r.work == nil {
+					r.work = make(map[string]float64)
+				}
+				r.work[mm[2]] = v
+			}
 			if m[3] != "" {
 				if a, err := strconv.ParseInt(m[3], 10, 64); err == nil {
 					r.allocsPerOp = a

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"routerwatch/internal/auth"
@@ -77,6 +76,8 @@ type Daemon struct {
 	everComputed  bool
 
 	table *Table
+	// search is the table computation's reusable scratch.
+	search searcher
 	// lastSig is the exact signature of the inputs the current table was
 	// computed from ((origin, seq) pairs plus exclusion version); sigScratch
 	// is its reusable comparison buffer. See prepare.
@@ -250,8 +251,8 @@ func (d *Daemon) scheduleRecompute() {
 	sched.AtShard(d.shard, at, d.recompute)
 }
 
-// recompute rebuilds the graph from the LSDB, applies exclusions, computes
-// the table, and installs it as the router's forwarder.
+// recompute reads the advertised topology from the LSDB, applies
+// exclusions, computes the table, and installs it as the router's forwarder.
 func (d *Daemon) recompute() {
 	d.prepare()
 	d.install(d.proto.net.Scheduler().Now())
@@ -275,8 +276,8 @@ func (d *Daemon) prepare() {
 		return
 	}
 	d.lastSig = append(d.lastSig[:0], sig...)
-	g := d.graphFromLSDB()
-	d.table = ComputeTable(g, d.id, d.excl)
+	d.search.loadLSDB(d.proto.net.Graph(), d.lsdb)
+	d.table = d.search.table(d.id, d.excl)
 }
 
 // install publishes the prepared table as the router's forwarder and fires
@@ -321,32 +322,6 @@ func uint64sEqual(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// graphFromLSDB reconstructs the topology as advertised. A link u→v is
-// installed iff u advertises v (LSAs are trusted here; securing the control
-// plane is §1.1.1's problem, explicitly out of scope for the detectors).
-// Physical attributes are copied from the simulator's ground-truth graph.
-func (d *Daemon) graphFromLSDB() *topology.Graph {
-	truth := d.proto.net.Graph()
-	g := topology.NewGraph()
-	for _, id := range truth.Nodes() {
-		g.AddNode(truth.Name(id))
-	}
-	origins := make([]packet.NodeID, 0, len(d.lsdb))
-	for o := range d.lsdb {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, o := range origins {
-		for _, nb := range d.lsdb[o].Neighbors {
-			if l, ok := truth.Link(o, nb.ID); ok {
-				l.Cost = nb.Cost
-				g.AddLink(l)
-			}
-		}
-	}
-	return g
 }
 
 // Converged reports whether every daemon has computed at least one table

@@ -162,8 +162,6 @@ func (p *Protocol) runBatch(at time.Duration) {
 	batch := p.due[at]
 	delete(p.due, at)
 	sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
-	// Warm the shared truth graph's lazy neighbor cache before fanning out.
-	p.net.Graph().Neighbors(0)
 	runner.Do(p.opts.Workers, len(batch), func(i int) { batch[i].prepare() })
 	for _, d := range batch {
 		d.install(at)

@@ -4,7 +4,8 @@
 // forwarding that excises suspected path-segments from the routing fabric.
 //
 // Exclusions are realized by routing on the line graph (states are directed
-// links) with forbidden transitions: a suspected 2-segment ⟨a,b⟩ removes the
+// links, collapsed to routers wherever no transition is forbidden) with
+// forbidden transitions: a suspected 2-segment ⟨a,b⟩ removes the
 // directed link a→b, and a suspected x-segment forbids each of its interior
 // transitions ⟨u,v,w⟩, so no traffic traverses the segment while the
 // adjacent routers remain usable on other paths — exactly the "less
@@ -12,7 +13,7 @@
 package routing
 
 import (
-	"container/heap"
+	"sort"
 	"time"
 
 	"routerwatch/internal/packet"
@@ -100,130 +101,375 @@ func (e *Exclusions) TransitionForbidden(u, v, w packet.NodeID) bool {
 // prefix of a suspected segment must not continue along its suffix.
 type Table struct {
 	router packet.NodeID
-	// next[from][dst] = next hop, -1 if unreachable.
-	next map[packet.NodeID][]packet.NodeID
+	// ctx lists the entry contexts: the router itself (locally originated
+	// traffic) first, then its neighbors in ascending ID order.
+	ctx []packet.NodeID
+	// rows[i*n+dst] is the next hop toward dst for traffic entering from
+	// ctx[i], -1 if unreachable.
+	rows []packet.NodeID
+	n    int
 }
 
 // NextHop returns the next hop for a packet from inbound neighbor from
 // (equal to the table's router for locally originated traffic) toward dst.
+// An unknown inbound neighbor (e.g. mis-delivered traffic) falls back to the
+// locally-originated row, which has no transition constraint.
 func (t *Table) NextHop(from, dst packet.NodeID) (packet.NodeID, bool) {
-	row, ok := t.next[from]
-	if !ok {
-		// Unknown inbound neighbor (e.g. mis-delivered traffic): fall back
-		// to the locally-originated row, which has no transition
-		// constraint.
-		row, ok = t.next[t.router]
-		if !ok {
-			return -1, false
-		}
-	}
-	if int(dst) >= len(row) {
+	if uint32(dst) >= uint32(t.n) {
 		return -1, false
 	}
-	nh := row[dst]
+	i := 0
+	for j, c := range t.ctx {
+		if c == from {
+			i = j
+			break
+		}
+	}
+	nh := t.rows[i*t.n+int(dst)]
 	return nh, nh >= 0
 }
 
 // ComputeTable builds router r's forwarding table over graph g with the
-// given exclusions, by Dijkstra on the line graph from each entry context.
+// given exclusions. Row from holds, for every destination v, the first hop
+// of the lexicographically smallest (distance, first hop) walk from r to v
+// that enters r from from, leaves over a link other than back to from, and
+// uses no excluded link or forbidden transition.
 func ComputeTable(g *topology.Graph, r packet.NodeID, excl *Exclusions) *Table {
-	t := &Table{router: r, next: make(map[packet.NodeID][]packet.NodeID)}
-	contexts := append([]packet.NodeID{r}, g.Neighbors(r)...)
-	for _, from := range contexts {
-		t.next[from] = computeRow(g, r, from, excl)
+	var s searcher
+	s.loadGraph(g)
+	return s.table(r, excl)
+}
+
+// searcher is the reusable scratch of the table search: a dense adjacency,
+// the search state space derived from an exclusion set, and the Dijkstra
+// arrays. Each Daemon owns one, so concurrent prepares share nothing.
+//
+// Routing with forbidden transitions is Dijkstra on the line graph, whose
+// states are directed links. Only a router v that is the middle of some
+// forbidden transition ⟨u,v,w⟩ needs to know which link it was entered by;
+// at every other router all incoming link states expand identically, so
+// they collapse into one node state without changing any label. States
+// 0..n-1 are therefore the routers, and states n.. are the links into
+// middle routers.
+type searcher struct {
+	n int
+	// Dense adjacency: router v's out-links are off[v]..off[v+1]-1, with
+	// far ends dst (ascending) and advertised costs cost.
+	off  []int32
+	dst  []packet.NodeID
+	cost []int64
+
+	// The state space for one exclusion set. Per link: excluded marks an
+	// excised link, next the state its traversal reaches. Per router: mid
+	// marks the middle of a forbidden transition. Per state: head is the
+	// router it sits at. For link state n+k, forb[forbBase[k]+j] forbids
+	// leaving over its head's j-th out-link.
+	excluded []bool
+	next     []int32
+	mid      []bool
+	head     []packet.NodeID
+	forbBase []int32
+	forb     []bool
+
+	// Dijkstra scratch, one entry per state: best tentative label (dist,
+	// hop) and the settled mark.
+	dist []int64
+	hop  []packet.NodeID
+	done []bool
+	heap stateHeap
+
+	// pops and relaxations count settled states and label improvements
+	// over the searcher's lifetime: deterministic work counters.
+	pops, relaxations int64
+}
+
+// reset empties the adjacency for an n-router graph.
+func (s *searcher) reset(n int) {
+	s.n = n
+	s.off = append(s.off[:0], 0)
+	s.dst = s.dst[:0]
+	s.cost = s.cost[:0]
+}
+
+// loadGraph reads g's links into the dense adjacency.
+func (s *searcher) loadGraph(g *topology.Graph) {
+	s.reset(g.NumNodes())
+	for v := 0; v < s.n; v++ {
+		for _, w := range g.Neighbors(packet.NodeID(v)) {
+			l, _ := g.Link(packet.NodeID(v), w)
+			s.dst = append(s.dst, w)
+			s.cost = append(s.cost, int64(l.Cost))
+		}
+		s.off = append(s.off, int32(len(s.dst)))
+	}
+}
+
+// loadLSDB reads the topology as advertised into the dense adjacency. A
+// link u→v exists iff u advertises v and the link exists physically in
+// truth (LSAs are trusted here; securing the control plane is §1.1.1's
+// problem, explicitly out of scope for the detectors). Its cost is the
+// advertised one; if u advertises v twice, the later entry wins.
+func (s *searcher) loadLSDB(truth *topology.Graph, lsdb map[packet.NodeID]*LSA) {
+	s.reset(truth.NumNodes())
+	for o := 0; o < s.n; o++ {
+		if lsa := lsdb[packet.NodeID(o)]; lsa != nil {
+			start := len(s.dst)
+			for _, nb := range lsa.Neighbors {
+				if truth.HasLink(packet.NodeID(o), nb.ID) {
+					s.dst = append(s.dst, nb.ID)
+					s.cost = append(s.cost, int64(nb.Cost))
+				}
+			}
+			s.normalize(start)
+		}
+		s.off = append(s.off, int32(len(s.dst)))
+	}
+}
+
+// normalize sorts the out-links appended since start by far end and drops
+// all but the last entry for a repeated far end. Originated LSAs are
+// already sorted and duplicate-free, which the first loop confirms.
+func (s *searcher) normalize(start int) {
+	ids, costs := s.dst[start:], s.cost[start:]
+	sorted := true
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return
+	}
+	type entry struct {
+		id   packet.NodeID
+		cost int64
+	}
+	es := make([]entry, len(ids))
+	for i := range ids {
+		es[i] = entry{ids[i], costs[i]}
+	}
+	sort.SliceStable(es, func(i, j int) bool { return es[i].id < es[j].id })
+	k := 0
+	for i, e := range es {
+		if i+1 < len(es) && es[i+1].id == e.id {
+			continue
+		}
+		ids[k], costs[k] = e.id, e.cost
+		k++
+	}
+	s.dst, s.cost = s.dst[:start+k], s.cost[:start+k]
+}
+
+// link returns the index of link u→v, or -1.
+func (s *searcher) link(u, v packet.NodeID) int32 {
+	if uint32(u) >= uint32(s.n) {
+		return -1
+	}
+	for e := s.off[u]; e < s.off[u+1]; e++ {
+		if s.dst[e] == v {
+			return e
+		}
+	}
+	return -1
+}
+
+// build derives the state space for excl from the loaded adjacency.
+func (s *searcher) build(excl *Exclusions) {
+	n, m := s.n, len(s.dst)
+	s.excluded = zeroed(s.excluded, m)
+	for l := range excl.links {
+		if e := s.link(l[0], l[1]); e >= 0 {
+			s.excluded[e] = true
+		}
+	}
+	s.mid = zeroed(s.mid, n)
+	for t := range excl.trans {
+		if uint32(t[1]) < uint32(n) {
+			s.mid[t[1]] = true
+		}
+	}
+	s.head = s.head[:0]
+	for v := 0; v < n; v++ {
+		s.head = append(s.head, packet.NodeID(v))
+	}
+	s.next = zeroed(s.next, m)
+	s.forbBase, s.forb = s.forbBase[:0], s.forb[:0]
+	for u := 0; u < n; u++ {
+		for e := s.off[u]; e < s.off[u+1]; e++ {
+			v := s.dst[e]
+			if !s.mid[v] {
+				s.next[e] = int32(v)
+				continue
+			}
+			s.next[e] = int32(len(s.head))
+			s.head = append(s.head, v)
+			s.forbBase = append(s.forbBase, int32(len(s.forb)))
+			for f := s.off[v]; f < s.off[v+1]; f++ {
+				s.forb = append(s.forb, excl.TransitionForbidden(packet.NodeID(u), v, s.dst[f]))
+			}
+		}
+	}
+	states := len(s.head)
+	s.dist = zeroed(s.dist, states)
+	s.hop = zeroed(s.hop, states)
+	s.done = zeroed(s.done, states)
+}
+
+// zeroed returns b resized to n zero values, reusing its capacity.
+func zeroed[T any](b []T, n int) []T {
+	return append(b[:0], make([]T, n)...)
+}
+
+// table computes router r's full table: one search per entry context.
+func (s *searcher) table(r packet.NodeID, excl *Exclusions) *Table {
+	s.build(excl)
+	n := s.n
+	var nbs []packet.NodeID
+	if uint32(r) < uint32(n) {
+		nbs = s.dst[s.off[r]:s.off[r+1]]
+	}
+	t := &Table{
+		router: r,
+		ctx:    append(append(make([]packet.NodeID, 0, len(nbs)+1), r), nbs...),
+		rows:   make([]packet.NodeID, (len(nbs)+1)*n),
+		n:      n,
+	}
+	for i, from := range t.ctx {
+		s.row(r, from, excl, t.rows[i*n:(i+1)*n])
 	}
 	return t
 }
 
-// edgeState indexes a directed link for line-graph Dijkstra.
-type edgeState struct {
-	u, v packet.NodeID
-}
-
-type lgItem struct {
-	st   edgeState
-	dist int64
-	// firstHop is the next hop out of the computing router for the path
-	// this state lies on; carried through so the row can be filled.
-	firstHop packet.NodeID
-}
-
-type lgHeap []lgItem
-
-func (h lgHeap) Len() int { return len(h) }
-func (h lgHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].firstHop != h[j].firstHop {
-		return h[i].firstHop < h[j].firstHop
-	}
-	if h[i].st.u != h[j].st.u {
-		return h[i].st.u < h[j].st.u
-	}
-	return h[i].st.v < h[j].st.v
-}
-func (h lgHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *lgHeap) Push(x any)     { *h = append(*h, x.(lgItem)) }
-func (h *lgHeap) Pop() (out any) { old := *h; n := len(old); out = old[n-1]; *h = old[:n-1]; return }
-
-// computeRow computes next hops at router r for traffic entering from
-// neighbor from (or originated locally when from == r).
-func computeRow(g *topology.Graph, r, from packet.NodeID, excl *Exclusions) []packet.NodeID {
-	n := g.NumNodes()
-	row := make([]packet.NodeID, n)
-	bestDist := make([]int64, n)
-	const inf = int64(1) << 62
+// row fills next hops at router r for traffic entering from neighbor from
+// (or originated locally when from == r). Labels are (distance, first hop)
+// pairs compared lexicographically; extending a walk adds a non-negative
+// cost and keeps its first hop, so Dijkstra settles every state with its
+// least label and the first settled state at router v carries v's row
+// entry, whatever order equal labels pop in.
+func (s *searcher) row(r, from packet.NodeID, excl *Exclusions, row []packet.NodeID) {
 	for i := range row {
 		row[i] = -1
-		bestDist[i] = inf
 	}
-
-	type seenKey = edgeState
-	seen := make(map[seenKey]bool)
-	h := &lgHeap{}
-
-	for _, nb := range g.Neighbors(r) {
-		if excl.LinkExcluded(r, nb) {
+	if uint32(r) >= uint32(s.n) {
+		return
+	}
+	const inf = int64(1) << 62
+	for i := range s.dist {
+		s.dist[i] = inf
+		s.done[i] = false
+	}
+	s.heap = s.heap[:0]
+	// Seeds: the first hop out of r. The arrival context constrains only
+	// this step — no immediate U-turn, no forbidden ⟨from, r, nb⟩.
+	for e := s.off[r]; e < s.off[r+1]; e++ {
+		nb := s.dst[e]
+		if s.excluded[e] {
 			continue
 		}
-		if from != r && excl.TransitionForbidden(from, r, nb) {
+		if from != r && (nb == from || s.mid[r] && excl.TransitionForbidden(from, r, nb)) {
 			continue
 		}
-		if from != r && nb == from {
-			continue // no immediate U-turn back over the arrival link
-		}
-		link, _ := g.Link(r, nb)
-		heap.Push(h, lgItem{st: edgeState{r, nb}, dist: int64(link.Cost), firstHop: nb})
+		s.relax(s.next[e], s.cost[e], nb)
 	}
+	reached := 0
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
+		st := it.state
+		if s.done[st] {
+			continue
+		}
+		s.done[st] = true
+		s.pops++
+		v := s.head[st]
+		if row[v] < 0 {
+			row[v] = it.hop
+			if reached++; reached == s.n {
+				return
+			}
+		}
+		lo, hi := s.off[v], s.off[v+1]
+		var forb []bool
+		if int(st) >= s.n {
+			base := s.forbBase[int(st)-s.n]
+			forb = s.forb[base : base+hi-lo]
+		}
+		for e := lo; e < hi; e++ {
+			if s.excluded[e] || forb != nil && forb[e-lo] {
+				continue
+			}
+			s.relax(s.next[e], it.dist+s.cost[e], it.hop)
+		}
+	}
+}
 
-	for h.Len() > 0 {
-		it := heap.Pop(h).(lgItem)
-		if seen[it.st] {
-			continue
-		}
-		seen[it.st] = true
-		v := it.st.v
-		if it.dist < bestDist[v] {
-			bestDist[v] = it.dist
-			row[v] = it.firstHop
-		}
-		for _, w := range g.Neighbors(v) {
-			next := edgeState{v, w}
-			if seen[next] {
-				continue
-			}
-			if excl.LinkExcluded(v, w) {
-				continue
-			}
-			if excl.TransitionForbidden(it.st.u, v, w) {
-				continue
-			}
-			link, _ := g.Link(v, w)
-			heap.Push(h, lgItem{st: next, dist: it.dist + int64(link.Cost), firstHop: it.firstHop})
-		}
+// relax offers label (d, hop) to state st.
+func (s *searcher) relax(st int32, d int64, hop packet.NodeID) {
+	if s.done[st] || d > s.dist[st] || d == s.dist[st] && hop >= s.hop[st] {
+		return
 	}
-	return row
+	s.dist[st], s.hop[st] = d, hop
+	s.relaxations++
+	s.heap.push(heapItem{dist: d, hop: hop, state: st})
+}
+
+// heapItem is a tentative label for a search state.
+type heapItem struct {
+	dist  int64
+	hop   packet.NodeID
+	state int32
+}
+
+func (a heapItem) less(b heapItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.hop != b.hop {
+		return a.hop < b.hop
+	}
+	return a.state < b.state
+}
+
+// stateHeap is a binary min-heap of labels ordered by (dist, hop, state).
+type stateHeap []heapItem
+
+func (h *stateHeap) push(it heapItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+func (h *stateHeap) pop() heapItem {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 // PathFromTables traces the path a packet from src to dst takes under the
