@@ -71,11 +71,11 @@ func NewInstance(info Info) Instance { return &instance{info} }
 
 type instance struct{ info Info }
 
-func (i *instance) ProtocolName() string       { return i.info.Name }
-func (i *instance) Round() time.Duration       { return i.info.Round }
-func (i *instance) Log() *detector.Log         { return i.info.Log }
-func (i *instance) Telemetry() *telemetry.Set  { return i.info.Telemetry }
-func (i *instance) Engine() any                { return i.info.Engine }
+func (i *instance) ProtocolName() string      { return i.info.Name }
+func (i *instance) Round() time.Duration      { return i.info.Round }
+func (i *instance) Log() *detector.Log        { return i.info.Log }
+func (i *instance) Telemetry() *telemetry.Set { return i.info.Telemetry }
+func (i *instance) Engine() any               { return i.info.Engine }
 
 // Hooks is what the runtime wires into every protocol it attaches: where
 // suspicions go and what the response mechanism is. Descriptors merge these

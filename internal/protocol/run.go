@@ -127,7 +127,6 @@ func RunGeneric(spec *Spec, run RunOptions) (*Result, error) {
 		Seed:             spec.Seed,
 		ProcessingJitter: spec.Jitter.D(),
 		Telemetry:        run.Telemetry,
-		Shards:           spec.Shards,
 	})
 	env := NewSimEnv(net)
 	res := &Result{Spec: spec, Env: env, Net: net, Faulty: -1}
@@ -356,9 +355,8 @@ func scheduleTraffic(net *network.Network, spec *Spec, base time.Duration) error
 // scheduleMesh installs a "mesh" workload: Pairs random src→dst flows drawn
 // from a stream derived from the scenario seed and the workload's position
 // (never from the network's streams, so a mesh cannot shift unrelated
-// draws). Each flow is one self-rechaining event pinned to its source's
-// shard — a 1000-pair × 1000-packet mesh keeps only 1000 events pending
-// instead of a million.
+// draws). Each flow is one self-rechaining event — a 1000-pair ×
+// 1000-packet mesh keeps only 1000 events pending instead of a million.
 func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, arena *packet.Arena, base time.Duration, size int) {
 	sched := net.Scheduler()
 	pairs := t.Pairs
@@ -375,7 +373,6 @@ func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, aren
 			dst++
 		}
 		flow := t.Flow + packet.FlowID(k)
-		shard := net.ShardOf(src)
 		// Smear flow starts across one interval so pairs don't all fire on
 		// the same instant.
 		start := base + t.Offset.D() + interval*time.Duration(k)/time.Duration(pairs)
@@ -388,9 +385,9 @@ func scheduleMesh(net *network.Network, spec *Spec, t *TrafficSpec, ti int, aren
 			net.Inject(src, p)
 			i++
 			if i < t.Count {
-				sched.AtShard(shard, sched.Now()+interval, tick)
+				sched.At(sched.Now()+interval, tick)
 			}
 		}
-		sched.AtShard(shard, start, tick)
+		sched.At(start, tick)
 	}
 }

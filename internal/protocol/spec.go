@@ -58,10 +58,6 @@ type Spec struct {
 	Duration Duration `json:"duration,omitempty"`
 	// Jitter is the per-hop processing jitter of the network.
 	Jitter Duration `json:"jitter,omitempty"`
-	// Shards splits the event core into per-region shards (0/1 = the
-	// classic single heap). Purely a performance knob: verdicts and
-	// telemetry are byte-identical for any value.
-	Shards int `json:"shards,omitempty"`
 
 	Topology TopologySpec `json:"topology"`
 	Routing  *RoutingSpec `json:"routing,omitempty"`

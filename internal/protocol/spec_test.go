@@ -117,6 +117,7 @@ func TestDecodeSpecErrors(t *testing.T) {
 		name, in, wantErr string
 	}{
 		{"unknown field", `{"protocol":"pik2","topology":{"kind":"line"},"colour":"red"}`, "colour"},
+		{"retired shards knob", `{"protocol":"pik2","topology":{"kind":"line"},"shards":8}`, "shards"},
 		{"missing protocol", `{"topology":{"kind":"line"}}`, "missing protocol"},
 		{"bad duration", `{"protocol":"pik2","topology":{"kind":"line"},"duration":"fast"}`, "invalid duration"},
 		{"not json", `protocol: pik2`, "scenario"},

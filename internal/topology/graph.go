@@ -59,10 +59,10 @@ type Graph struct {
 	nbrCache [][]packet.NodeID
 	adjCache [][]adjEdge
 
-	// regions[v] is v's spatial region (PoP) for the sharded simulation
-	// core; nil when the topology carries no region structure. Regions are
-	// advisory placement metadata: they never influence routing or
-	// forwarding, only which event-queue shard a router's events land on.
+	// regions[v] is v's spatial region (PoP); nil when the topology
+	// carries no region structure. Regions never influence path choice or
+	// forwarding; only the routing StaggerRegions option (LSA origination
+	// times) and the topoinfo structure report read them.
 	regions []int
 }
 
@@ -141,9 +141,8 @@ func (g *Graph) Lookup(name string) (packet.NodeID, bool) {
 // NumNodes returns the number of routers.
 func (g *Graph) NumNodes() int { return len(g.names) }
 
-// SetRegion tags a node with its spatial region (PoP index). Regions are
-// placement metadata for the sharded event core; they have no routing
-// semantics.
+// SetRegion tags a node with its spatial region (PoP index). Regions have
+// no path-selection semantics (see Graph.regions).
 func (g *Graph) SetRegion(id packet.NodeID, region int) {
 	if region < 0 {
 		region = 0
